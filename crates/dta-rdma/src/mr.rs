@@ -618,30 +618,35 @@ impl SnapshotBuf {
         self.written.push((start as u32, end as u32));
     }
 
-    /// Byte-wise OR `other` into this image.
+    /// Byte-wise OR `other` into this image, reading only the ranges
+    /// `other` recorded as written (every other byte of it is zero, so
+    /// OR-ing it would be a no-op).
     ///
     /// The collector-fleet memory merge: when every key's slots are
     /// written on exactly one collector (write-once Key-Write, slot-
     /// disjoint key pools), OR-ing the per-collector images is a union of
     /// the written bytes, and the merged image is comparable byte-for-byte
-    /// against a single-image run. Panics if the lengths differ.
-    pub fn or_with(&mut self, other: &[u8]) {
-        assert_eq!(other.len(), self.len, "cannot OR differently sized region images");
-        // SAFETY: the buffer is exclusively owned; plain-byte writes.
-        let dst = unsafe {
-            std::slice::from_raw_parts_mut(self.data.as_ptr() as *mut u8, self.len)
-        };
-        let (mut lo, mut hi) = (usize::MAX, 0usize);
-        for (i, (d, &s)) in dst.iter_mut().zip(other).enumerate() {
-            if s != 0 {
-                *d |= s;
-                lo = lo.min(i);
-                hi = hi.max(i + 1);
+    /// against a single-image run. The cost is proportional to the bytes
+    /// `other` holds, not the region size; those ranges join this image's
+    /// own, so drop re-zeros exactly what was written. Panics if the
+    /// lengths differ.
+    pub fn or_with(&mut self, other: &SnapshotBuf) {
+        assert_eq!(other.len, self.len, "cannot OR differently sized region images");
+        let src = other.as_bytes();
+        for &(s, e) in &other.written {
+            let (s, e) = (s as usize, e as usize);
+            // SAFETY: the buffer is exclusively owned (`&mut self`) and
+            // `other` is a different buffer (it is borrowed shared while
+            // `self` is borrowed mutably); `other`'s written ranges lie
+            // within its length, which equals ours. Plain-byte writes.
+            let dst = unsafe {
+                std::slice::from_raw_parts_mut(self.data[s..e].as_ptr() as *mut u8, e - s)
+            };
+            for (d, &b) in dst.iter_mut().zip(&src[s..e]) {
+                *d |= b;
             }
         }
-        if lo < hi {
-            self.written.push((lo as u32, hi as u32));
-        }
+        self.written.extend_from_slice(&other.written);
     }
 
     /// The full image bytes.
@@ -855,6 +860,66 @@ mod tests {
         let mut merged = a.snapshot();
         merged.or_with(&b.snapshot());
         assert_eq!(&*merged, &*both.snapshot());
+    }
+
+    #[test]
+    fn or_with_matches_full_byte_or_for_any_written_ranges() {
+        // Two stripes plus a tail, so images hold several written ranges.
+        type Writes<'a> = &'a [(usize, &'a [u8])];
+        let len = STRIPE_BYTES * 2 + 64;
+        let region = |writes: Writes<'_>| {
+            let mr = MemoryRegion::new(0, len, 1, MrAccess::WRITE);
+            for &(va, data) in writes {
+                mr.write(va as u64, data).unwrap();
+            }
+            mr.snapshot()
+        };
+        let reference = |a: &[u8], b: &[u8]| -> Vec<u8> {
+            a.iter().zip(b).map(|(x, y)| x | y).collect()
+        };
+        let boundary = STRIPE_BYTES - 2;
+        let cases: [(Writes<'_>, Writes<'_>); 4] = [
+            // Disjoint stripes.
+            (&[(8, &[0x11, 0x22])], &[(STRIPE_BYTES + 8, &[0x33])]),
+            // Overlapping bytes in a shared stripe, one write spanning two.
+            (&[(16, &[0x0F, 0xF0]), (boundary, &[1, 2, 3, 4])], &[(17, &[0x0F]), (len - 1, &[9])]),
+            // Empty on either side.
+            (&[], &[(len - 4, &[5, 6, 7, 8])]),
+            (&[(0, &[0xAA])], &[]),
+        ];
+        for (wa, wb) in cases {
+            let (a, b) = (region(wa), region(wb));
+            let want = reference(&a, &b);
+            let mut merged = a.clone();
+            merged.or_with(&b);
+            assert_eq!(&*merged, &want[..]);
+            // Cloning copies only written ranges, so it also sees the merge.
+            assert_eq!(merged.clone(), merged);
+        }
+        let mut empty = region(&[]);
+        empty.or_with(&region(&[]));
+        assert!(empty.iter().all(|&b| b == 0));
+    }
+
+    #[test]
+    fn dropped_merge_returns_a_zeroed_buffer_to_the_pool() {
+        // A length no other test uses, so the pool slot is ours.
+        let len = STRIPE_BYTES * 3 + 40;
+        let a = MemoryRegion::new(0, len, 1, MrAccess::WRITE);
+        let b = MemoryRegion::new(0, len, 1, MrAccess::WRITE);
+        a.write(3, &[0xFF; 10]).unwrap();
+        b.write((STRIPE_BYTES * 2 + 5) as u64, &[0x7F; 300]).unwrap();
+        let (sa, sb) = (a.snapshot(), b.snapshot());
+        drop((a, b));
+        let mut merged = sa.clone();
+        merged.or_with(&sb);
+        assert!(merged.iter().any(|&b| b != 0));
+        drop((sa, sb, merged));
+        // Every buffer of this length the pool hands out must be all zero.
+        let pooled: Vec<SnapshotBuf> = (0..4).map(|_| SnapshotBuf::zeroed(len)).collect();
+        for buf in &pooled {
+            assert!(buf.iter().all(|&b| b == 0), "pooled buffer was not re-zeroed");
+        }
     }
 
     #[test]

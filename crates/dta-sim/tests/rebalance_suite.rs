@@ -142,6 +142,25 @@ fn rebalance_runs_are_bit_reproducible_in_both_modes() {
     }
 }
 
+/// The drain window after the rebalance releases is idle time: with no
+/// postcard row resident and every migration closed, a drain twelve times
+/// longer must not write a byte or move a failover, ledger or rebalance
+/// counter.
+#[test]
+fn idle_drain_window_changes_nothing() {
+    for mode in BOTH_MODES {
+        let run = |drain_ns| {
+            run_scenario(&ScenarioSpec { drain_ns, ..rebalance(mode, 0x4EBA_0004) })
+        };
+        let (short, long) = (run(100_000), run(1_200_000));
+        assert_released_and_closed(&short, &format!("{mode:?}/short drain"));
+        assert_eq!(short.memory, long.memory, "{mode:?}: merged memory moved");
+        assert_eq!(short.fleet_memory, long.fleet_memory, "{mode:?}: per-collector memory moved");
+        assert_eq!(short.report.failover, long.report.failover, "{mode:?}: failover/ledger moved");
+        assert_eq!(short.report.rebalance, long.report.rebalance, "{mode:?}: rebalance moved");
+    }
+}
+
 /// Satellite: the `fanout_lookups` audit counter measures something real —
 /// a rejoin *without* a rebalance leaves keys stranded on the fallback,
 /// and the audit has to fan out to find them.

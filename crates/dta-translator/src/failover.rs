@@ -1028,8 +1028,10 @@ impl NetNode for FleetTranslatorNode {
             self.failover.detected_timeout += 1;
             self.fail(now_ns, c, out);
         }
-        // 3. Flush live endpoints (batched state; a no-op for KW/INC-only
-        // fleet traffic, kept for parity with the single-collector node).
+        // 3. Flush live endpoints (batched state, kept for parity with the
+        // single-collector node). Fleet traffic is KW/INC only, so no
+        // postcard row is ever resident and each flush returns at once on
+        // the cache's zero resident count instead of walking its rows.
         let my_id = self.my_id;
         let my_ip = self.my_ip;
         let min_unacked = self.min_unacked;

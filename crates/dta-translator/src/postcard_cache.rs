@@ -63,6 +63,9 @@ pub struct CacheStats {
 pub struct PostcardCache {
     rows: RegisterArray<Row>,
     occupied: Vec<bool>,
+    /// Rows currently occupied: `flush` stops scanning once it has
+    /// emitted this many, and skips the scan entirely when it is zero.
+    resident: usize,
     /// Journal of row indexes that ever became occupied, so drop can
     /// return the row storage to the recycling pool after zeroing only the
     /// rows a run actually touched. `u32::MAX` capacity sentinel: when the
@@ -112,6 +115,7 @@ impl PostcardCache {
         PostcardCache {
             rows,
             occupied,
+            resident: 0,
             touched: Vec::new(),
             touched_overflow: false,
             index: Crc32::new(CrcParams::IEEE),
@@ -163,11 +167,13 @@ impl PostcardCache {
             self.stats.early_emissions += 1;
             out.push(self.emission_from(&row, false));
             self.occupied[idx] = false;
+            self.resident -= 1;
             row = Row::default();
         }
         if !self.occupied[idx] {
             row = Row { key: *key, ..Row::default() };
             self.occupied[idx] = true;
+            self.resident += 1;
             if self.touched_overflow || self.touched.len() >= self.journal_cap() {
                 self.touched_overflow = true;
             } else {
@@ -189,6 +195,7 @@ impl PostcardCache {
             self.stats.complete_emissions += 1;
             out.push(self.emission_from(&row, true));
             self.occupied[idx] = false;
+            self.resident -= 1;
             self.rows.write(idx, Row::default());
         } else {
             self.rows.write(idx, row);
@@ -203,18 +210,22 @@ impl PostcardCache {
         CacheEmission { key: row.key, words, complete }
     }
 
-    /// Flush every occupied row (shutdown / timer path). All flushed rows
-    /// count as early emissions.
+    /// Flush every occupied row (shutdown / timer path), in ascending row
+    /// order. All flushed rows count as early emissions. The scan stops at
+    /// the last resident row, so a drained cache costs nothing to flush.
     pub fn flush(&mut self) -> Vec<CacheEmission> {
-        let mut out = Vec::new();
-        for idx in 0..self.rows.len() {
+        let mut out = Vec::with_capacity(self.resident);
+        let mut idx = 0;
+        while self.resident > 0 {
             if self.occupied[idx] {
                 let row = self.rows.read(idx);
                 self.stats.early_emissions += 1;
                 out.push(self.emission_from(&row, false));
                 self.occupied[idx] = false;
+                self.resident -= 1;
                 self.rows.write(idx, Row::default());
             }
+            idx += 1;
         }
         out
     }
@@ -325,6 +336,54 @@ mod tests {
         assert!(flushed.iter().all(|e| !e.complete));
         // A second flush is a no-op.
         assert!(c.flush().is_empty());
+    }
+
+    #[test]
+    fn resident_count_tracks_claim_collision_completion_and_flush() {
+        let mut c = PostcardCache::new(1, 2);
+        assert_eq!(c.resident, 0);
+        c.insert(&key(1), 0, 2, 1); // claim
+        assert_eq!(c.resident, 1);
+        c.insert(&key(1), 1, 2, 2); // completion
+        assert_eq!(c.resident, 0);
+        c.insert(&key(1), 0, 2, 1);
+        let em = c.insert(&key(2), 0, 2, 3); // collision evicts, then claims
+        assert_eq!(em.len(), 1);
+        assert_eq!(c.resident, 1);
+        // A collision followed by the newcomer's own completion.
+        let em = c.insert(&key(3), 0, 1, 4);
+        assert_eq!(em.len(), 2);
+        assert!(!em[0].complete && em[1].complete);
+        assert_eq!(c.resident, 0);
+        c.insert(&key(4), 0, 2, 5);
+        assert_eq!(c.flush().len(), 1);
+        assert_eq!(c.resident, 0);
+    }
+
+    #[test]
+    fn flush_of_drained_cache_is_empty() {
+        let mut c = PostcardCache::new(32 * 1024, 5);
+        assert!(c.flush().is_empty());
+        let k = key(7);
+        for hop in 0..5 {
+            c.insert(&k, hop, 5, hop as u32);
+        }
+        assert_eq!(c.resident, 0);
+        assert!(c.flush().is_empty());
+        assert_eq!(c.stats.early_emissions, 0);
+    }
+
+    #[test]
+    fn flush_emits_in_ascending_row_order() {
+        let mut c = PostcardCache::new(4096, 5);
+        let keys: Vec<_> = (0..64).map(key).collect();
+        for k in keys.iter().rev() {
+            c.insert(k, 0, 5, 0);
+        }
+        let rows: Vec<usize> = c.flush().iter().map(|e| c.row_index(&e.key)).collect();
+        assert!(rows.len() > 1);
+        assert!(rows.windows(2).all(|w| w[0] < w[1]), "flush order {rows:?}");
+        assert_eq!(c.resident, 0);
     }
 
     #[test]
