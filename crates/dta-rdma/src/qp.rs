@@ -38,7 +38,8 @@ pub enum QpError {
     BadState(QpState),
 }
 
-const PSN_MASK: u32 = 0x00FF_FFFF;
+/// PSNs are 24-bit; arithmetic on them wraps within this mask.
+pub const PSN_MASK: u32 = 0x00FF_FFFF;
 /// Half the PSN space; distinguishes "old duplicate" from "future" PSNs.
 const PSN_HALF: u32 = 0x0080_0000;
 
@@ -115,6 +116,11 @@ impl QueuePair {
         let psn = self.send_psn;
         self.send_psn = (self.send_psn + 1) & PSN_MASK;
         psn
+    }
+
+    /// PSN the next outgoing packet will carry.
+    pub fn send_psn(&self) -> u32 {
+        self.send_psn
     }
 
     /// PSN the receiver currently expects.

@@ -27,14 +27,12 @@ use dta_net::{
     FatTree, FaultInjector, LinkConfig, LinkStats, FaultTotals, NetNode, Network, NetworkStats,
     NodeId, SimTime,
 };
-use dta_rdma::cm::CmRequester;
 use dta_rdma::mr::SnapshotBuf;
 use dta_reporter::{PacedReporterNode, Reporter, ReporterConfig, ReporterFleetNode, RetxStats};
 use dta_translator::node::TranslatorNodeStats;
 use dta_translator::{
-    FailoverStats, FleetAdmin, FleetConfig, FleetEvent, FleetQueryEngine, FleetShardedNode,
-    FleetTranslatorNode, RebalanceConfig, RebalanceStats, ShardedConfig, ShardedTranslatorNode,
-    Translator, TranslatorNode, TranslatorStats,
+    Backend, FailoverStats, FleetEvent, FleetQueryEngine, NodeConfig, RebalanceConfig,
+    RebalanceStats, ShardedConfig, TranslatorNode, TranslatorStats,
 };
 
 use crate::query::{CollectorReaders, QueryService, QueryStats};
@@ -301,149 +299,69 @@ pub fn run_scenario(spec: &ScenarioSpec) -> ScenarioOutcome {
         }
         c
     };
-    let mut fleet_admin: Option<FleetAdmin> = None;
-    // Reader clones for the online query service, captured before the
-    // services move into their network nodes (both branches below).
-    let mut query_readers: Vec<CollectorReaders> = Vec::new();
-    let sharded_tor = if fleet {
-        let mut services: Vec<CollectorService> =
-            (0..fleet_size).map(|_| CollectorService::new(spec.service.clone())).collect();
-        let mut peers: Vec<(NodeId, u32, &mut CollectorService)> = services
-            .iter_mut()
-            .enumerate()
-            .map(|(c, svc)| (collector_sites[c].0, COLLECTOR_IP + c as u32, svc))
-            .collect();
-        // The migration path rolls its own fault dice (there is no
-        // simulated link between the fence and the fallback's memory), so
-        // it gets a domain-separated stream off the scenario seed.
-        let rebalance_cfg = spec.rebalance.as_ref().map(|rb| RebalanceConfig {
-            fence_capacity: rb.fence_capacity,
-            ledger_capacity: rb.ledger_capacity,
-            drain_batch: rb.drain_batch,
-            retry_ns: rb.retry_ns,
-            faults: rb.faults,
-            seed: splitmix64(spec.seed ^ 0x5EBA_1A4C),
-        });
-        let sharded = match spec.mode {
-            TranslatorMode::Sharded { shards } => {
-                let (node, admin) = FleetShardedNode::connect(
-                    &ShardedConfig {
-                        shards,
-                        translator: translator_config,
-                        ..ShardedConfig::default()
-                    },
-                    spec.collectors.ledger_capacity,
-                    rebalance_cfg,
-                    &mut peers,
-                );
-                fleet_admin = Some(admin);
-                net.add_interceptor(tor, Box::new(node));
-                true
-            }
-            TranslatorMode::SingleThreaded => {
-                let (node, admin) = FleetTranslatorNode::connect(
-                    &FleetConfig {
-                        translator: translator_config,
-                        timeout_ns: spec.collectors.timeout_ns,
-                        min_unacked: spec.collectors.min_unacked,
-                        ledger_capacity: spec.collectors.ledger_capacity,
-                        rebalance: rebalance_cfg,
-                    },
-                    &mut peers,
-                    tor,
-                    TRANSLATOR_IP,
-                );
-                fleet_admin = Some(admin);
-                net.add_interceptor(tor, Box::new(node));
-                false
-            }
-        };
-        drop(peers);
-        // Fleet ticks drive admin-event consumption, completion-timeout
-        // detection, and periodic endpoint flushes.
-        net.add_tick(tor, spec.tick_ns);
-        if spec.query.is_some() {
-            query_readers = services
-                .iter()
-                .map(|svc| CollectorReaders::from_service(svc, spec.service.max_redundancy))
-                .collect();
-        }
-        for (c, svc) in services.into_iter().enumerate() {
-            let (host, _) = collector_sites[c];
-            net.add_node(host, Box::new(CollectorNode::new(svc, host, COLLECTOR_IP + c as u32)));
-        }
-        sharded
-    } else {
-        let mut svc = CollectorService::new(spec.service.clone());
-        let sharded = match spec.mode {
-            TranslatorMode::Sharded { shards } => {
-                let mut node = ShardedTranslatorNode::connect(
-                    ShardedConfig {
-                        shards,
-                        translator: translator_config,
-                        ..ShardedConfig::default()
-                    },
-                    &mut svc,
-                );
-                if spec.congestion.nack_on_drop {
-                    // Worker-side rate-limit drops are NACKed from the engine
-                    // thread on this node's ticks (period = the reporter pacing
-                    // period; each tick barriers on the shard queues, so the
-                    // drained set is deterministic).
-                    node.enable_nacks(tor, TRANSLATOR_IP);
-                    net.add_tick(tor, spec.tick_ns);
-                }
-                net.add_interceptor(tor, Box::new(node));
-                true
-            }
-            TranslatorMode::SingleThreaded => {
-                let mut translator = Translator::new(translator_config);
-                for (i, service) in [
-                    dta_collector::SERVICE_KW,
-                    dta_collector::SERVICE_POSTCARD,
-                    dta_collector::SERVICE_APPEND,
-                    dta_collector::SERVICE_CMS,
-                ]
-                .into_iter()
-                .enumerate()
-                {
-                    let req = CmRequester::new(0x700 + i as u32, 0);
-                    let reply = svc.handle_cm(&req.request(service));
-                    let Ok((qp, params)) = req.complete(&reply) else {
-                        continue; // primitive disabled at the collector
-                    };
-                    match service {
-                        dta_collector::SERVICE_KW => translator.connect_key_write(qp, params),
-                        dta_collector::SERVICE_POSTCARD => {
-                            translator.connect_postcarding(qp, params)
-                        }
-                        dta_collector::SERVICE_APPEND => translator.connect_append(qp, params),
-                        dta_collector::SERVICE_CMS => translator.connect_key_increment(qp, params),
-                        _ => unreachable!(),
-                    }
-                }
-                net.add_interceptor(
-                    tor,
-                    Box::new(TranslatorNode::new(
-                        translator,
-                        tor,
-                        TRANSLATOR_IP,
-                        collector_host,
-                        COLLECTOR_IP,
-                    )),
-                );
-                false
-            }
-        };
-        if spec.query.is_some() {
-            query_readers = vec![CollectorReaders::from_service(&svc, spec.service.max_redundancy)];
-        }
-        net.add_node(
-            collector_host,
-            Box::new(CollectorNode::new(svc, collector_host, COLLECTOR_IP)),
-        );
-        sharded
+    let sharded = matches!(spec.mode, TranslatorMode::Sharded { .. });
+    let backend = match spec.mode {
+        TranslatorMode::Sharded { shards } => Backend::InProcess(ShardedConfig {
+            shards,
+            translator: translator_config,
+            ..ShardedConfig::default()
+        }),
+        TranslatorMode::SingleThreaded => Backend::Wire(translator_config),
     };
+    // The migration path rolls its own fault dice (there is no simulated
+    // link between the fence and the fallback's memory), so it gets a
+    // domain-separated stream off the scenario seed.
+    let rebalance = spec.rebalance.as_ref().map(|rb| RebalanceConfig {
+        fence_capacity: rb.fence_capacity,
+        ledger_capacity: rb.ledger_capacity,
+        drain_batch: rb.drain_batch,
+        retry_ns: rb.retry_ns,
+        faults: rb.faults,
+        seed: splitmix64(spec.seed ^ 0x5EBA_1A4C),
+    });
+    let mut services: Vec<CollectorService> =
+        (0..fleet_size).map(|_| CollectorService::new(spec.service.clone())).collect();
+    let mut peers: Vec<(NodeId, u32, &mut CollectorService)> = services
+        .iter_mut()
+        .enumerate()
+        .map(|(c, svc)| (collector_sites[c].0, COLLECTOR_IP + c as u32, svc))
+        .collect();
+    let (node, admin) = TranslatorNode::connect(
+        NodeConfig {
+            backend,
+            timeout_ns: spec.collectors.timeout_ns,
+            min_unacked: spec.collectors.min_unacked,
+            ledger_capacity: spec.collectors.ledger_capacity,
+            rebalance,
+        },
+        &mut peers,
+        tor,
+        TRANSLATOR_IP,
+    );
+    drop(peers);
+    net.add_interceptor(tor, Box::new(node));
+    if fleet || (sharded && spec.congestion.nack_on_drop) {
+        // Fleet ticks drive admin-event consumption, completion-timeout
+        // detection, and periodic endpoint flushes. A sharded single
+        // collector ticks only to NACK worker-side rate-limit drops from
+        // the engine thread (each tick barriers on the shard queues, so
+        // the drained set is deterministic).
+        net.add_tick(tor, spec.tick_ns);
+    }
+    // Reader clones for the online query service, captured before the
+    // services move into their network nodes.
+    let mut query_readers: Vec<CollectorReaders> = if spec.query.is_some() {
+        services
+            .iter()
+            .map(|svc| CollectorReaders::from_service(svc, spec.service.max_redundancy))
+            .collect()
+    } else {
+        Vec::new()
+    };
+    for (c, svc) in services.into_iter().enumerate() {
+        let (host, _) = collector_sites[c];
+        net.add_node(host, Box::new(CollectorNode::new(svc, host, COLLECTOR_IP + c as u32)));
+    }
 
     mark(2, &mut __t);
     // --- Fleet nodes and pacing ------------------------------------------
@@ -482,7 +400,7 @@ pub fn run_scenario(spec: &ScenarioSpec) -> ScenarioOutcome {
     // --- Run on the simulated clock ---------------------------------------
     let emit_end = spec.tick_ns * (max_ticks + 1);
     let flush_at = emit_end + spec.drain_ns;
-    if !sharded_tor && !fleet {
+    if !sharded && !fleet {
         // One translator flush inside the run (postcard cache rows, partial
         // append batches): the first tick of this series fires at
         // `flush_at`, the second lands past the deadline. The sharded
@@ -498,15 +416,14 @@ pub fn run_scenario(spec: &ScenarioSpec) -> ScenarioOutcome {
     // the clock. Packets addressed to a removed node are dropped by the
     // engine — exactly a fail-stop host.
     let mut parked_victim: Option<(NodeId, Box<dyn NetNode>)> = None;
-    if let (true, Some(f)) = (fleet, spec.collectors.fault) {
-        let admin = fleet_admin.as_ref().expect("fleet admin");
+    if let Some(f) = spec.collectors.fault {
         let victim_host = collector_sites[f.victim as usize].0;
         net.run_until(SimTime::from_nanos(f.kill_at_ns.min(deadline)));
         if f.spurious {
             admin.signal(FleetEvent::ForceFailover { collector: f.victim });
         } else {
             let boxed = net.remove_node(victim_host).expect("victim collector node");
-            if sharded_tor {
+            if sharded {
                 // The sharded pipelines execute RDMA in-process, so there is
                 // no wire-level completion loop to time out on: the CM
                 // teardown stands in for fail-stop detection.
@@ -541,15 +458,8 @@ pub fn run_scenario(spec: &ScenarioSpec) -> ScenarioOutcome {
         let mut epoch = qs.first_epoch();
         while epoch * spec.tick_ns < stop_ns {
             net.run_until(SimTime::from_nanos(epoch * spec.tick_ns));
-            if sharded_tor {
-                let node = net.node_mut(tor).expect("translator node");
-                let node: &mut dyn std::any::Any = node;
-                if let Some(n) = node.downcast_mut::<FleetShardedNode>() {
-                    n.quiesce();
-                } else if let Some(n) = node.downcast_mut::<ShardedTranslatorNode>() {
-                    n.quiesce();
-                }
-            }
+            let node: &mut dyn std::any::Any = net.node_mut(tor).expect("translator node");
+            node.downcast_mut::<TranslatorNode>().expect("translator node").quiesce();
             qs.run_epoch(epoch, emit_end);
             epoch += 1;
         }
@@ -572,38 +482,18 @@ pub fn run_scenario(spec: &ScenarioSpec) -> ScenarioOutcome {
     }
 
     let tor_node: Box<dyn std::any::Any> = net.remove_node(tor).expect("translator node");
-    let (translator_stats, translator_node_stats, per_shard, sharded_executed, failover, rebalance, table) =
-        if fleet {
-            if sharded_tor {
-                let mut node =
-                    tor_node.downcast::<FleetShardedNode>().expect("fleet sharded node");
-                let node_stats = node.stats;
-                let rep = node.finish().expect("pipelines not yet finished");
-                let mut translator = TranslatorStats::default();
-                let mut per_shard = Vec::new();
-                let mut executed = 0u64;
-                for run in &rep.runs {
-                    translator.merge(&run.translator);
-                    per_shard.extend(run.shards.iter().map(|s| s.translator.reports_in));
-                    executed += run.executed;
-                }
-                (translator, node_stats, per_shard, Some(executed), rep.failover, rep.rebalance, Some(rep.table))
-            } else {
-                let mut node = tor_node.downcast::<FleetTranslatorNode>().expect("fleet node");
-                let node_stats = node.stats;
-                let rep = node.finish();
-                (rep.translator, node_stats, Vec::new(), None, rep.failover, rep.rebalance, Some(rep.table))
-            }
-        } else if sharded_tor {
-            let mut node = tor_node.downcast::<ShardedTranslatorNode>().expect("sharded node");
-            let node_stats = node.stats;
-            let run = node.finish().expect("pipeline not yet finished");
-            let per_shard = run.shards.iter().map(|s| s.translator.reports_in).collect();
-            (run.translator, node_stats, per_shard, Some(run.executed), FailoverStats::default(), None, None)
-        } else {
-            let node = tor_node.downcast::<TranslatorNode>().expect("translator type");
-            (node.translator.stats, node.stats, Vec::new(), None, FailoverStats::default(), None, None)
-        };
+    let mut node = tor_node.downcast::<TranslatorNode>().expect("translator node");
+    let translator_node = node.stats;
+    let run = node.finish().expect("node not yet finished");
+    drop(node);
+    let per_shard: Vec<u64> = run
+        .runs
+        .iter()
+        .flat_map(|r| r.shards.iter().map(|s| s.translator.reports_in))
+        .collect();
+    let sharded_executed = sharded.then(|| run.runs.iter().map(|r| r.executed).sum::<u64>());
+    // A single collector audits and snapshots its one store directly.
+    let table = fleet.then_some(run.table);
 
     // The victim of a genuine kill lives in `parked_victim`, not the
     // engine; everyone else comes off the fabric here. Fleet order.
@@ -674,14 +564,14 @@ pub fn run_scenario(spec: &ScenarioSpec) -> ScenarioOutcome {
             net: net_stats,
             faults: fault_totals,
             links: link_totals,
-            translator: translator_stats,
-            translator_node: translator_node_stats,
+            translator: run.translator,
+            translator_node,
             reporter: reporter_totals,
             per_shard_reports_in: per_shard,
             executed,
             collector: collector_stats,
-            failover,
-            rebalance,
+            failover: run.failover,
+            rebalance: run.rebalance,
             queries,
             query: query_service.map(QueryService::into_stats),
         },

@@ -13,15 +13,16 @@ use dta_net::{FaultConfig, LinkConfig};
 use dta_reporter::RetransmitPolicy;
 use dta_translator::{MigrationFaults, RateLimiterConfig, TranslatorConfig};
 
-/// Which translator pipeline fronts the collector's ToR.
+/// Which endpoint backend the ToR's [`dta_translator::TranslatorNode`]
+/// uses toward each collector.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TranslatorMode {
-    /// The single-threaded [`dta_translator::TranslatorNode`]: reports
-    /// translate inline and the resulting RoCE packets traverse the
-    /// simulated ToR→collector link (lossless, PFC).
+    /// [`dta_translator::Backend::Wire`]: a single-threaded translator per
+    /// collector; reports translate inline and the resulting RoCE packets
+    /// traverse the simulated ToR→collector link (lossless, PFC).
     SingleThreaded,
-    /// The multi-threaded [`dta_translator::ShardedTranslatorNode`]: the
-    /// PR 2 pipeline (SPSC rings, per-shard translators, dedicated NIC
+    /// [`dta_translator::Backend::InProcess`]: a sharded pipeline per
+    /// collector (SPSC rings, per-shard translators, dedicated NIC
     /// endpoints) executes RDMA directly into the collector's striped
     /// memory — the intra-rack RoCE hop modeled at the memory level.
     Sharded {
@@ -563,7 +564,11 @@ impl ScenarioSpec {
                      across a failover"
                     .into());
             }
-            // The fleet nodes do not implement the reporter NACK loop.
+            // The congestion loop runs through the same node code at any
+            // fleet size, but it is untested alongside failover: nothing
+            // yet proves that reporter retransmits of rate-limited drops
+            // and ledger replays converge to the no-failure memory. It
+            // stays rejected until a congestion × failover corpus does.
             if self.congestion.rate_limit.is_some()
                 || self.congestion.nack_on_drop
                 || self.congestion.retransmit.is_some()

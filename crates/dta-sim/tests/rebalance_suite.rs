@@ -30,7 +30,7 @@
 //!    pure function of the alive-set: event history and epoch bumps
 //!    cannot move keys between survivors.
 //! 6. **Idempotence** — duplicate Kill/Rejoin signals for the same
-//!    collector are counted no-ops in both fleet node types.
+//!    collector are counted no-ops over both endpoint backends.
 
 use dta_collector::{CollectorService, ServiceConfig};
 use dta_net::{NetNode, NodeId, SimTime};
@@ -38,8 +38,8 @@ use dta_sim::{
     run_scenario, CollectorPlan, ScenarioOutcome, ScenarioSpec, TranslatorMode, TRANSLATOR_IP,
 };
 use dta_translator::{
-    CollectorRoutingTable, FleetConfig, FleetEvent, FleetShardedNode, FleetTranslatorNode,
-    MigrationFaults, ShardedConfig,
+    Backend, CollectorRoutingTable, FleetEvent, MigrationFaults, NodeConfig, ShardedConfig,
+    TranslatorNode,
 };
 use proptest::prelude::*;
 
@@ -291,67 +291,48 @@ fn fleet_services() -> Vec<CollectorService> {
 }
 
 /// Satellite: duplicate Kill/Rejoin signals for the same collector in the
-/// same epoch are idempotent no-ops, visible in `duplicate_events` — the
-/// wire-driving fleet node.
+/// same epoch are idempotent no-ops, visible in `duplicate_events` — over
+/// both endpoint backends of the one translator node (a spurious failover
+/// on the wire, a CM teardown in-process).
 #[test]
 fn duplicate_fleet_events_are_noops_in_the_translator_node() {
-    let mut services = fleet_services();
-    let mut peers: Vec<(NodeId, u32, &mut CollectorService)> = services
-        .iter_mut()
-        .enumerate()
-        .map(|(c, svc)| (NodeId(100 + c as u32), 0x0A00_0900 + c as u32, svc))
-        .collect();
-    let (mut node, admin) = FleetTranslatorNode::connect(
-        &FleetConfig {
-            translator: Default::default(),
-            timeout_ns: 8_000,
-            min_unacked: 24,
-            ledger_capacity: 64,
-            rebalance: None,
-        },
-        &mut peers,
-        NodeId(1),
-        TRANSLATOR_IP,
-    );
-    for _ in 0..2 {
-        admin.signal(FleetEvent::ForceFailover { collector: 1 });
+    let cases = [
+        (Backend::Wire(Default::default()), FleetEvent::ForceFailover { collector: 1 }, 1),
+        (Backend::InProcess(ShardedConfig::default()), FleetEvent::Teardown { collector: 2 }, 2),
+    ];
+    for (backend, kill, victim) in cases {
+        let mut services = fleet_services();
+        let mut peers: Vec<(NodeId, u32, &mut CollectorService)> = services
+            .iter_mut()
+            .enumerate()
+            .map(|(c, svc)| (NodeId(100 + c as u32), 0x0A00_0900 + c as u32, svc))
+            .collect();
+        let (mut node, admin) = TranslatorNode::connect(
+            NodeConfig {
+                backend,
+                timeout_ns: 8_000,
+                min_unacked: 24,
+                ledger_capacity: 64,
+                rebalance: None,
+            },
+            &mut peers,
+            NodeId(1),
+            TRANSLATOR_IP,
+        );
+        for _ in 0..2 {
+            admin.signal(kill);
+        }
+        for _ in 0..2 {
+            admin.signal(FleetEvent::Rejoin { collector: victim });
+        }
+        let mut out = Vec::new();
+        node.tick(SimTime::from_nanos(1_000), &mut out);
+        let rep = node.finish().expect("node not yet finished");
+        assert_eq!(rep.failover.failovers, 1, "second kill re-fired the failover");
+        assert_eq!(rep.failover.rejoins, 1, "second rejoin re-admitted twice");
+        assert_eq!(rep.failover.duplicate_events, 2, "duplicates must be counted");
+        assert_eq!(rep.table.epoch(), 2, "duplicate events bumped the epoch");
     }
-    for _ in 0..2 {
-        admin.signal(FleetEvent::Rejoin { collector: 1 });
-    }
-    let mut out = Vec::new();
-    node.tick(SimTime::from_nanos(1_000), &mut out);
-    let rep = node.finish();
-    assert_eq!(rep.failover.failovers, 1, "second kill re-fired the failover");
-    assert_eq!(rep.failover.rejoins, 1, "second rejoin re-admitted twice");
-    assert_eq!(rep.failover.duplicate_events, 2, "duplicates must be counted");
-    assert_eq!(rep.table.epoch(), 2, "duplicate events bumped the epoch");
-}
-
-/// Same claim for the in-process sharded fleet node.
-#[test]
-fn duplicate_fleet_events_are_noops_in_the_sharded_node() {
-    let mut services = fleet_services();
-    let mut peers: Vec<(NodeId, u32, &mut CollectorService)> = services
-        .iter_mut()
-        .enumerate()
-        .map(|(c, svc)| (NodeId(100 + c as u32), 0x0A00_0900 + c as u32, svc))
-        .collect();
-    let (mut node, admin) =
-        FleetShardedNode::connect(&ShardedConfig::default(), 64, None, &mut peers);
-    for _ in 0..2 {
-        admin.signal(FleetEvent::Teardown { collector: 2 });
-    }
-    for _ in 0..2 {
-        admin.signal(FleetEvent::Rejoin { collector: 2 });
-    }
-    let mut out = Vec::new();
-    node.tick(SimTime::from_nanos(1_000), &mut out);
-    let rep = node.finish().expect("pipelines not yet finished");
-    assert_eq!(rep.failover.failovers, 1, "second teardown re-fired the failover");
-    assert_eq!(rep.failover.rejoins, 1, "second rejoin re-admitted twice");
-    assert_eq!(rep.failover.duplicate_events, 2, "duplicates must be counted");
-    assert_eq!(rep.table.epoch(), 2, "duplicate events bumped the epoch");
 }
 
 proptest! {

@@ -19,7 +19,9 @@
 //! The single-threaded dataplane lives in [`translator`]; [`shard`] runs
 //! `N` of them as a key-partitioned multi-threaded pipeline (the software
 //! analogue of the Tofino's parallel pipes), with [`spsc`] providing the
-//! bounded ingest→shard report queues.
+//! bounded ingest→shard report queues. [`node`] deploys either one as the
+//! ToR's network node in front of one or more collectors, applying the
+//! [`failover`] policy.
 
 // Lint floor (enforced by `dta-lint` + clippy -D warnings, see DESIGN.md
 // "Static analysis"): unsafe operations must be explicitly scoped even
@@ -45,11 +47,10 @@ pub mod translator;
 pub use append::AppendBatcher;
 pub use extensions::{LatencyMatch, LatencySumQuery};
 pub use failover::{
-    CollectorRoutingTable, FailoverStats, FleetAdmin, FleetConfig, FleetEvent, FleetRunReport,
-    FleetShardedNode, FleetShardedRunReport, FleetTranslatorNode, LedgerEntry, ReplayLedger,
+    CollectorRoutingTable, FailoverStats, FleetAdmin, FleetEvent, LedgerEntry, ReplayLedger,
 };
 pub use fleet_query::FleetQueryEngine;
-pub use node::{ShardedTranslatorNode, TranslatorNode};
+pub use node::{Backend, NodeConfig, NodeRunReport, TranslatorNode};
 pub use partition::Partitioner;
 pub use postcard_cache::{CacheEmission, PostcardCache};
 pub use ratelimit::{RateLimiter, RateLimiterConfig};

@@ -182,8 +182,8 @@ pub enum WireKind {
 }
 
 /// One migration request the deployment must put on the wire. The driver
-/// is transport-agnostic: the single-node fleet frames these as RoCE
-/// packets, the sharded fleet executes them against region clones.
+/// is transport-agnostic: wire endpoints frame these as RoCE packets,
+/// in-process endpoints execute them against region clones.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WireEmission {
     /// Migration link (see [`link_of`]).
@@ -448,7 +448,7 @@ fn splitmix64(state: &mut u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Transport-agnostic rebalance state machine. The owning fleet node
+/// Transport-agnostic rebalance state machine. The owning translator node
 /// feeds it reroute events ([`RebalanceDriver::fence_record`]), rejoin,
 /// wire completions, and pumps it for emissions; it hands back DTA
 /// replays to push through the ordinary (exactly-once) report path.
@@ -457,7 +457,7 @@ pub struct RebalanceDriver {
     config: RebalanceConfig,
     kw: Option<KwLayout>,
     cms: Option<CmsLayout>,
-    /// Own scratch at full family width: the fleet node's routing scratch
+    /// Own scratch at full family width: the node's routing scratch
     /// is width-1 and cannot derive per-copy slot digests.
     scratch: KeyScratch,
     entries: Vec<FenceEntry>,

@@ -233,13 +233,7 @@ impl ShardedTranslator {
                 let Ok((qp, params)) = req.complete(&reply) else {
                     continue; // service disabled at the collector
                 };
-                match service {
-                    SERVICE_KW => tr.connect_key_write(qp, params),
-                    SERVICE_POSTCARD => tr.connect_postcarding(qp, params),
-                    SERVICE_APPEND => tr.connect_append(qp, params),
-                    SERVICE_CMS => tr.connect_key_increment(qp, params),
-                    _ => unreachable!(),
-                }
+                tr.connect_service(service, qp, params);
             }
             let (tx, rx) = spsc::channel::<ShardItem>(config.queue_depth);
             let (nack_tx, nack_rx) = spsc::channel::<NackRecord>(config.queue_depth);

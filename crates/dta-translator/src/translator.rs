@@ -15,13 +15,14 @@
 use bytes::{BufMut, Bytes, BytesMut};
 use dta_collector::layout::{AppendLayout, CmsLayout, KwLayout, PostcardLayout};
 use dta_collector::postcarding::{hop_checksum, ValueCodec};
+use dta_collector::service::{SERVICE_APPEND, SERVICE_CMS, SERVICE_KW, SERVICE_POSTCARD};
 use dta_core::{DtaReport, PrimitiveHeader};
 #[cfg(test)]
 use dta_core::TelemetryKey;
 use dta_hash::scratch::KeyScratch;
-use dta_rdma::cm::ConnectionParams;
+use dta_rdma::cm::{ConnectionParams, ServiceId};
 use dta_rdma::packet::RocePacket;
-use dta_rdma::qp::QueuePair;
+use dta_rdma::qp::{QueuePair, PSN_MASK};
 use dta_rdma::verbs::RdmaOp;
 use dta_switch::MulticastEngine;
 
@@ -265,12 +266,26 @@ impl Translator {
         self.cms = Some((ServiceConn { qp, params }, layout));
     }
 
+    /// Attach the service `service` ([`dta_collector::service`] ids), as
+    /// the matching `connect_*` call does. Unknown ids attach nothing.
+    pub fn connect_service(&mut self, service: ServiceId, qp: QueuePair, params: ConnectionParams) {
+        match service {
+            SERVICE_KW => self.connect_key_write(qp, params),
+            SERVICE_POSTCARD => self.connect_postcarding(qp, params),
+            SERVICE_APPEND => self.connect_append(qp, params),
+            SERVICE_CMS => self.connect_key_increment(qp, params),
+            _ => {}
+        }
+    }
+
     /// Handle a RoCE response from the collector (ACK or NAK). On NAK, the
     /// matching QP's send PSN resynchronizes to the collector's expected
-    /// PSN (§5.2's queue-pair resynchronization).
-    pub fn on_roce_response(&mut self, pkt: &RocePacket) {
+    /// PSN (§5.2's queue-pair resynchronization). Returns how many PSNs the
+    /// send cursor moved back — the packets sent at or past the expected
+    /// PSN — or 0 when nothing resynchronized.
+    pub fn on_roce_response(&mut self, pkt: &RocePacket) -> u32 {
         if !pkt.is_nak() {
-            return;
+            return 0;
         }
         let qpn = pkt.bth.dest_qp;
         for conn in [
@@ -283,11 +298,13 @@ impl Translator {
         .flatten()
         {
             if conn.qp.qpn == qpn {
+                let rewound = conn.qp.send_psn().wrapping_sub(pkt.bth.psn) & PSN_MASK;
                 conn.qp.resync_send(pkt.bth.psn);
                 self.stats.resyncs += 1;
-                return;
+                return rewound;
             }
         }
+        0
     }
 
     /// Translate one DTA report into RoCE packets (the ingress→egress

@@ -7,16 +7,15 @@
 //! cargo run --example network_wide_view
 //! ```
 
-use dta::collector::service::{CollectorService, ServiceConfig, SERVICE_KW};
+use dta::collector::service::{CollectorService, ServiceConfig};
 use dta::collector::{CollectorNode, QueryOutcome, QueryPolicy};
 use dta::core::TelemetryKey;
 use dta::net::{FatTree, FaultConfig, FaultInjector, LinkConfig, Network, SimTime};
-use dta::rdma::cm::CmRequester;
 use dta::reporter::reporter::Reporter;
 use dta::reporter::ReporterConfig;
 use dta::telemetry::int::IntPathTracing;
 use dta::telemetry::traces::{TraceConfig, TraceGenerator};
-use dta::translator::{Translator, TranslatorConfig, TranslatorNode};
+use dta::translator::{Backend, NodeConfig, TranslatorConfig, TranslatorNode};
 
 fn main() {
     // A k=4 fat tree: 20 switches, 16 hosts. The collector is host (0,0,0);
@@ -49,28 +48,19 @@ fn main() {
         kw_value_bytes: 20,
         ..ServiceConfig::default()
     });
-    let mut translator = Translator::new(TranslatorConfig::default());
-    let req = CmRequester::new(0x88, 0);
-    let reply = service.handle_cm(&req.request(SERVICE_KW));
-    let (qp, params) = req.complete(&reply).expect("kw published");
-    translator.connect_key_write(qp, params);
-
     let collector_ip = 0x0A00_0900;
     let translator_ip = 0x0A00_0001;
+    let (translator, _) = TranslatorNode::connect(
+        NodeConfig::new(Backend::Wire(TranslatorConfig::default())),
+        &mut [(collector_host, collector_ip, &mut service)],
+        translator_switch,
+        translator_ip,
+    );
     net.add_node(
         collector_host,
         Box::new(CollectorNode::new(service, collector_host, collector_ip)),
     );
-    net.add_interceptor(
-        translator_switch,
-        Box::new(TranslatorNode::new(
-            translator,
-            translator_switch,
-            translator_ip,
-            collector_host,
-            collector_ip,
-        )),
-    );
+    net.add_interceptor(translator_switch, Box::new(translator));
 
     // Every *other* edge switch is an INT sink reporting 5-hop paths for
     // flows it terminates.
