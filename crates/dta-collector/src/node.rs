@@ -47,7 +47,7 @@ impl CollectorNode {
 
 impl NetNode for CollectorNode {
     fn receive(&mut self, _now: SimTime, packet: Packet, out: &mut Vec<Emission>) {
-        let Ok(udp) = UdpPacket::decode(packet.payload.clone()) else {
+        let Ok(udp) = UdpPacket::decode(packet.payload) else {
             self.stats.dropped += 1;
             return;
         };
@@ -55,7 +55,7 @@ impl NetNode for CollectorNode {
             self.stats.dropped += 1;
             return;
         }
-        let Ok(roce) = RocePacket::decode(udp.payload.clone()) else {
+        let Ok(roce) = RocePacket::decode(udp.payload) else {
             self.stats.dropped += 1;
             return;
         };

@@ -78,6 +78,8 @@ impl Ipv4Header {
     pub const LEN: usize = 20;
     /// Protocol number for UDP.
     pub const PROTO_UDP: u8 = 17;
+    /// Fragment word: DF set, offset 0 (reports are never fragmented).
+    const FRAG_DF: u16 = 0x4000;
 
     /// UDP packet between two addresses carrying `payload_len` bytes of UDP
     /// (header included).
@@ -93,14 +95,14 @@ impl Ipv4Header {
         }
     }
 
-    /// RFC 1071 header checksum over the encoded header.
+    /// RFC 1071 checksum of the header [`Ipv4Header::encode`] writes for
+    /// these fields, recomputed from them rather than summed over received
+    /// words (a wire header whose fragment word is not DF never matches).
+    /// Allocation-free: the header is laid out in a stack array.
     pub fn checksum(&self) -> u16 {
-        let mut buf = BytesMut::with_capacity(Self::LEN);
-        self.encode_with_checksum(&mut buf, 0);
         let mut sum = 0u32;
-        let b = &buf[..];
-        for i in (0..Self::LEN).step_by(2) {
-            sum += u16::from_be_bytes([b[i], b[i + 1]]) as u32;
+        for w in self.bytes_with(0).chunks_exact(2) {
+            sum += u16::from_be_bytes([w[0], w[1]]) as u32;
         }
         while sum >> 16 != 0 {
             sum = (sum & 0xFFFF) + (sum >> 16);
@@ -108,25 +110,31 @@ impl Ipv4Header {
         !(sum as u16)
     }
 
-    fn encode_with_checksum<B: BufMut>(&self, buf: &mut B, csum: u16) {
-        buf.put_u8(0x45); // version 4, IHL 5
-        buf.put_u8(self.tos);
-        buf.put_u16(self.total_len);
-        buf.put_u16(self.ident);
-        buf.put_u16(0x4000); // DF, no fragmentation
-        buf.put_u8(self.ttl);
-        buf.put_u8(self.proto);
-        buf.put_u16(csum);
-        buf.put_u32(self.src);
-        buf.put_u32(self.dst);
+    /// The wire layout carrying checksum `csum`: version 4, IHL 5, DF set.
+    fn bytes_with(&self, csum: u16) -> [u8; Self::LEN] {
+        let [l0, l1] = self.total_len.to_be_bytes();
+        let [i0, i1] = self.ident.to_be_bytes();
+        let [f0, f1] = Self::FRAG_DF.to_be_bytes();
+        let [c0, c1] = csum.to_be_bytes();
+        let [s0, s1, s2, s3] = self.src.to_be_bytes();
+        let [d0, d1, d2, d3] = self.dst.to_be_bytes();
+        [
+            0x45, self.tos, l0, l1, i0, i1, f0, f1, self.ttl, self.proto, c0, c1, s0, s1, s2,
+            s3, d0, d1, d2, d3,
+        ]
     }
 
     /// Serialize with a valid checksum.
     pub fn encode<B: BufMut>(&self, buf: &mut B) {
-        self.encode_with_checksum(buf, self.checksum());
+        buf.put_slice(&self.bytes_with(self.checksum()));
     }
 
-    /// Deserialize, verifying version/IHL and the header checksum.
+    /// Deserialize, verifying version/IHL and the header checksum. The
+    /// checksum is recomputed from the parsed fields with the DF fragment
+    /// word this stack emits, and the wire fragment word must be DF as
+    /// well: a header is accepted only if it is exactly what
+    /// [`Ipv4Header::encode`] writes for its fields, so every single-bit
+    /// flip of it is rejected.
     pub fn decode<B: Buf>(buf: &mut B) -> Result<Self, ReportError> {
         if buf.remaining() < Self::LEN {
             return Err(ReportError::Truncated { need: Self::LEN, have: buf.remaining() });
@@ -138,15 +146,15 @@ impl Ipv4Header {
         let tos = buf.get_u8();
         let total_len = buf.get_u16();
         let ident = buf.get_u16();
-        let _frag = buf.get_u16();
+        let frag = buf.get_u16();
         let ttl = buf.get_u8();
         let proto = buf.get_u8();
         let wire_csum = buf.get_u16();
         let src = buf.get_u32();
         let dst = buf.get_u32();
         let hdr = Ipv4Header { tos, total_len, ident, ttl, proto, src, dst };
-        if wire_csum != hdr.checksum() {
-            return Err(ReportError::BadVersion(0)); // corrupt header
+        if wire_csum != hdr.checksum() || frag != Self::FRAG_DF {
+            return Err(ReportError::BadChecksum("IPv4 header"));
         }
         Ok(hdr)
     }
@@ -239,17 +247,21 @@ impl UdpPacket {
         buf.freeze()
     }
 
-    /// Deserialize a whole packet.
+    /// Deserialize a whole packet in one pass over the borrowed frame. The
+    /// payload is the frame itself, advanced past the headers (and cut to
+    /// the UDP length): it shares the frame's backing store.
     pub fn decode(mut buf: Bytes) -> Result<Self, ReportError> {
-        let eth = EthHeader::decode(&mut buf)?;
-        let ip = Ipv4Header::decode(&mut buf)?;
-        let udp = UdpHeader::decode(&mut buf)?;
+        let mut s: &[u8] = buf.chunk();
+        let eth = EthHeader::decode(&mut s)?;
+        let ip = Ipv4Header::decode(&mut s)?;
+        let udp = UdpHeader::decode(&mut s)?;
         let payload_len = (udp.len as usize).saturating_sub(UdpHeader::LEN);
-        if buf.remaining() < payload_len {
-            return Err(ReportError::Truncated { need: payload_len, have: buf.remaining() });
+        if s.len() < payload_len {
+            return Err(ReportError::Truncated { need: payload_len, have: s.len() });
         }
-        let payload = buf.copy_to_bytes(payload_len);
-        Ok(UdpPacket { eth, ip, udp, payload })
+        buf.advance(UDP_FRAME_OVERHEAD);
+        buf.truncate(payload_len);
+        Ok(UdpPacket { eth, ip, udp, payload: buf })
     }
 }
 
@@ -280,6 +292,58 @@ mod tests {
         ip.encode(&mut buf);
         buf[16] ^= 0xFF; // flip a byte of the src address
         assert!(Ipv4Header::decode(&mut buf.freeze()).is_err());
+    }
+
+    #[test]
+    fn corrupt_ipv4_is_a_checksum_error_not_a_version_error() {
+        let wire = UdpPacket::frame(1, 2, 3, 4, Bytes::from_static(b"dta")).encode();
+        let mut bad = BytesMut::from(&wire[..]);
+        bad[EthHeader::LEN + 8] ^= 0x01; // TTL
+        let err = UdpPacket::decode(bad.freeze()).unwrap_err();
+        assert_eq!(err, ReportError::BadChecksum("IPv4 header"));
+        assert_eq!(err.to_string(), "corrupt frame: IPv4 header checksum mismatch");
+    }
+
+    /// The checksum is recomputed from the parsed fields with DF set, not
+    /// verified in place: a header whose fragment word is not DF is
+    /// rejected even when its raw words carry a valid checksum.
+    #[test]
+    fn non_df_header_with_raw_valid_checksum_is_rejected() {
+        let ip = Ipv4Header::udp(1, 2, 100);
+        let mut raw = BytesMut::new();
+        ip.encode(&mut raw);
+        raw[6] = 0x00; // fragment word 0x0000: may fragment
+        raw[10] = 0;
+        raw[11] = 0;
+        let mut sum = 0u32;
+        for w in raw.chunks_exact(2) {
+            sum += u16::from_be_bytes([w[0], w[1]]) as u32;
+        }
+        while sum >> 16 != 0 {
+            sum = (sum & 0xFFFF) + (sum >> 16);
+        }
+        raw[10..12].copy_from_slice(&(!(sum as u16)).to_be_bytes());
+        assert_eq!(
+            Ipv4Header::decode(&mut &raw[..]),
+            Err(ReportError::BadChecksum("IPv4 header"))
+        );
+    }
+
+    #[test]
+    fn trailing_bytes_past_udp_len_are_cut_off() {
+        let p = UdpPacket::frame(1, 2, 3, 4, Bytes::from_static(b"payload"));
+        let mut wire = BytesMut::from(&p.encode()[..]);
+        wire.extend_from_slice(b"ethernet padding");
+        let got = UdpPacket::decode(wire.freeze()).unwrap();
+        assert_eq!(got.payload.len(), got.udp.len as usize - UdpHeader::LEN);
+        assert_eq!(got, p);
+    }
+
+    #[test]
+    fn decoded_payload_shares_the_frame_buffer() {
+        let wire = UdpPacket::frame(1, 2, 3, 4, Bytes::from(vec![7u8; 20])).encode();
+        let got = UdpPacket::decode(wire.clone()).unwrap();
+        assert_eq!(got.payload.as_ptr(), wire[UDP_FRAME_OVERHEAD..].as_ptr());
     }
 
     #[test]

@@ -2,7 +2,6 @@
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
-
 use crate::header::{DtaFlags, DtaHeader, DtaOpcode};
 use crate::key::TelemetryKey;
 use crate::primitive::{
@@ -35,6 +34,9 @@ pub enum ReportError {
     },
     /// Telemetry payload exceeds [`MAX_TELEMETRY_PAYLOAD`].
     PayloadTooLarge(usize),
+    /// A frame integrity check failed (the IPv4 header checksum or the
+    /// RoCE ICRC); names the check.
+    BadChecksum(&'static str),
 }
 
 impl core::fmt::Display for ReportError {
@@ -52,6 +54,7 @@ impl core::fmt::Display for ReportError {
             ReportError::PayloadTooLarge(n) => {
                 write!(f, "telemetry payload of {n} bytes exceeds {MAX_TELEMETRY_PAYLOAD}")
             }
+            ReportError::BadChecksum(check) => write!(f, "corrupt frame: {check} checksum mismatch"),
         }
     }
 }
@@ -140,15 +143,18 @@ impl DtaReport {
         Ok(buf.freeze())
     }
 
-    /// Deserialize a report from a UDP payload.
+    /// Deserialize a report from a UDP payload in one pass over the
+    /// borrowed bytes. The payload is `buf` advanced past the headers: it
+    /// shares the frame's backing store.
     pub fn decode(mut buf: Bytes) -> Result<Self, ReportError> {
-        let header = DtaHeader::decode(&mut buf)?;
-        let primitive = PrimitiveHeader::decode(header.opcode, &mut buf)?;
-        let payload = buf.copy_to_bytes(buf.remaining());
-        if payload.len() > MAX_TELEMETRY_PAYLOAD {
-            return Err(ReportError::PayloadTooLarge(payload.len()));
+        let mut s: &[u8] = buf.chunk();
+        let header = DtaHeader::decode(&mut s)?;
+        let primitive = PrimitiveHeader::decode(header.opcode, &mut s)?;
+        if s.len() > MAX_TELEMETRY_PAYLOAD {
+            return Err(ReportError::PayloadTooLarge(s.len()));
         }
-        Ok(DtaReport { header, primitive, payload })
+        buf.advance(buf.len() - s.len());
+        Ok(DtaReport { header, primitive, payload: buf })
     }
 }
 
@@ -182,6 +188,23 @@ mod tests {
         let r = DtaReport::postcard(2, TelemetryKey::from_u64(8), 1, 5, 0x1234);
         let wire = r.encode().unwrap();
         assert_eq!(DtaReport::decode(wire).unwrap(), r);
+    }
+
+    /// Key-Write and Append payloads are views into the frame they were
+    /// decoded from, never copies.
+    #[test]
+    fn decoded_payload_points_into_the_frame() {
+        use crate::framing::{UdpPacket, UDP_FRAME_OVERHEAD};
+        for r in [
+            DtaReport::key_write(1, TelemetryKey::from_u64(3), 2, vec![5u8; 8]),
+            DtaReport::append(2, 9, vec![6u8; 18]),
+        ] {
+            let wire = UdpPacket::frame(1, 2, 3, 4, r.encode().unwrap()).encode();
+            let got = DtaReport::decode(UdpPacket::decode(wire.clone()).unwrap().payload).unwrap();
+            let offset = UDP_FRAME_OVERHEAD + r.encoded_len() - r.payload.len();
+            assert_eq!(got.payload.as_ptr(), wire[offset..].as_ptr());
+            assert_eq!(got, r);
+        }
     }
 
     #[test]

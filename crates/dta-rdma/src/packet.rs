@@ -436,34 +436,38 @@ impl RocePacket {
         buf.freeze()
     }
 
-    /// Deserialize and verify the ICRC.
-    pub fn decode(buf: Bytes) -> Result<Self, ReportError> {
-        if buf.len() < Bth::LEN + 4 {
-            return Err(ReportError::Truncated { need: Bth::LEN + 4, have: buf.len() });
+    /// Deserialize and verify the ICRC, in one pass over the borrowed
+    /// PDU. The payload is `buf` advanced past the headers and cut before
+    /// the ICRC: it shares the PDU's backing store.
+    pub fn decode(mut buf: Bytes) -> Result<Self, ReportError> {
+        let len = buf.len();
+        if len < Bth::LEN + 4 {
+            return Err(ReportError::Truncated { need: Bth::LEN + 4, have: len });
         }
-        let body = buf.slice(0..buf.len() - 4);
-        let wire_crc = u32::from_be_bytes(buf[buf.len() - 4..].try_into().unwrap());
-        if icrc32(&body) != wire_crc {
-            return Err(ReportError::BadVersion(0)); // ICRC failure
+        let (body, wire_crc) = buf.chunk().split_at(len - 4);
+        if icrc32(body) != u32::from_be_bytes(wire_crc.try_into().unwrap()) {
+            return Err(ReportError::BadChecksum("RoCE ICRC"));
         }
-        let mut cur = body.clone();
-        let bth = Bth::decode(&mut cur)?;
-        let reth = if bth.opcode.has_reth() { Some(Reth::decode(&mut cur)?) } else { None };
+        let mut s = body;
+        let bth = Bth::decode(&mut s)?;
+        let reth = if bth.opcode.has_reth() { Some(Reth::decode(&mut s)?) } else { None };
         let atomic = if bth.opcode.has_atomic_eth() {
-            Some(AtomicEth::decode(&mut cur)?)
+            Some(AtomicEth::decode(&mut s)?)
         } else {
             None
         };
         let imm = if bth.opcode.has_imm() {
-            if cur.remaining() < 4 {
-                return Err(ReportError::Truncated { need: 4, have: cur.remaining() });
+            if s.len() < ImmDt::LEN {
+                return Err(ReportError::Truncated { need: ImmDt::LEN, have: s.len() });
             }
-            Some(ImmDt(cur.get_u32()))
+            Some(ImmDt(s.get_u32()))
         } else {
             None
         };
-        let payload = cur.copy_to_bytes(cur.remaining());
-        Ok(RocePacket { bth, reth, atomic, imm, payload })
+        let payload_len = s.len();
+        buf.advance(len - 4 - payload_len);
+        buf.truncate(payload_len);
+        Ok(RocePacket { bth, reth, atomic, imm, payload: buf })
     }
 }
 
@@ -561,6 +565,26 @@ mod tests {
         let mut wire = BytesMut::from(&p.encode()[..]);
         wire[14] ^= 0xFF;
         assert!(RocePacket::decode(wire.freeze()).is_err());
+    }
+
+    #[test]
+    fn icrc_failure_is_a_checksum_error_not_a_version_error() {
+        let p = RocePacket::fetch_add(9, 1, 0x1000, 7, 100);
+        let mut wire = BytesMut::from(&p.encode()[..]);
+        wire[Bth::LEN + 3] ^= 0x10; // inside the AtomicETH VA
+        let err = RocePacket::decode(wire.freeze()).unwrap_err();
+        assert_eq!(err, ReportError::BadChecksum("RoCE ICRC"));
+        assert_eq!(err.to_string(), "corrupt frame: RoCE ICRC checksum mismatch");
+    }
+
+    #[test]
+    fn decoded_payload_shares_the_pdu_buffer() {
+        let reth = Reth { va: 0, rkey: 1, dma_len: 8 };
+        let p = RocePacket::write(1, 1, reth, Bytes::from_static(&[3; 8]));
+        let wire = p.encode();
+        let got = RocePacket::decode(wire.clone()).unwrap();
+        assert_eq!(got.payload.as_ptr(), wire[Bth::LEN + Reth::LEN..].as_ptr());
+        assert_eq!(got.payload.len(), 8);
     }
 
     #[test]

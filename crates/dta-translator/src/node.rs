@@ -954,7 +954,7 @@ impl NetNode for TranslatorNode {
         };
         match udp.udp.dst_port {
             DTA_UDP_PORT => {
-                let Ok(report) = DtaReport::decode(udp.payload.clone()) else {
+                let Ok(report) = DtaReport::decode(udp.payload) else {
                     self.stats.malformed += 1;
                     return;
                 };
@@ -997,7 +997,7 @@ impl NetNode for TranslatorNode {
                     self.stats.malformed += 1;
                     return;
                 }
-                let Ok(roce) = RocePacket::decode(udp.payload.clone()) else {
+                let Ok(roce) = RocePacket::decode(udp.payload) else {
                     self.stats.malformed += 1;
                     return;
                 };
